@@ -1485,7 +1485,8 @@ void ShardedEngineRuntime::worker_cascade_loop(Shard& shard) {
       // Publish what would unblock us before the pre-park recheck: the
       // coordinator's frontier store / parked_gate probe pair is the
       // mirror of this store / claim recheck, so a wake is never lost.
-      shard.parked_gate.store(blocked_gate, std::memory_order_seq_cst);
+      const std::uint64_t published_gate = blocked_gate;
+      shard.parked_gate.store(published_gate, std::memory_order_seq_cst);
       const std::uint32_t ticket = shard.work_ec.prepare_wait();
       if (shard.stop.load(std::memory_order_seq_cst)) {
         shard.work_ec.cancel_wait();
@@ -1495,6 +1496,17 @@ void ShardedEngineRuntime::worker_cascade_loop(Shard& shard) {
       if (try_claim()) {
         shard.work_ec.cancel_wait();
         break;
+      }
+      // Invariant: a parked worker's parked_gate is the gate its last
+      // (pre-park) recheck refused on. The recheck can see a head the
+      // first claim did not (an arrival pushed in between, whose push
+      // wake came before this registration) and refuse it for another
+      // gate; the coordinator filters frontier wakes by parked_gate, so
+      // sleeping on the stale word could miss the advance that admits
+      // that head. Go round again to re-publish.
+      if (blocked_gate != published_gate) {
+        shard.work_ec.cancel_wait();
+        continue;
       }
       shard.work_ec.wait(ticket);
     }
@@ -1874,9 +1886,10 @@ void ShardedEngineRuntime::cascade_loop() {
 
   // Merges the oldest closure once finished: whole closures always leave
   // in stamp order (the relaxed tiers released their emissions earlier,
-  // so only the withheld tail moves here), the watermark advances to just
-  // below the new oldest unclosed stamp, and routing versions nothing
-  // in flight can need are retired.
+  // so only the withheld tail moves here), the closed frontier advances to
+  // just below the new oldest unclosed stamp (the watermark follows at the
+  // poll that hands the closure out), and routing versions nothing in
+  // flight can need are retired.
   const auto merge_front = [&]() -> bool {
     if (active.empty() || !active.front().finished) return false;
     Active a = std::move(active.front());
@@ -1901,7 +1914,7 @@ void ShardedEngineRuntime::cascade_loop() {
         instances_ += nf.closure.size();
         nf.closure.clear();
       }
-      low_watermark_ = pending_.empty() ? last_stamp_assigned_ : pending_.front().stamp - 1;
+      cascade_closed_ = pending_.empty() ? last_stamp_assigned_ : pending_.front().stamp - 1;
       drained = pending_.empty();
     }
     // flush() parks on merged_cv_ until the pending frontier empties;
@@ -2267,6 +2280,11 @@ void ShardedEngineRuntime::poll_into(std::vector<core::EventInstance>* plain,
       for (TaggedInstance& t : cascade_out_) plain->push_back(std::move(t.instance));
       cascade_out_.clear();
     }
+    // Every closure at or below cascade_closed_ was merged into what was
+    // just handed out, so the watermark may pass it now — not at merge,
+    // where a low_watermark() read before this poll would promise stamps
+    // still sitting in cascade_out_.
+    low_watermark_ = cascade_closed_;
     return;
   }
   if (options_.ordering == OrderingTier::kGlobalTotalOrder) {

@@ -929,8 +929,9 @@ class ShardedEngineRuntime {
   std::vector<Staging> staged_;  // guarded by merge_mutex_
   /// K-way merge cursors of one stamp's chunks: (chunk, next emission).
   std::vector<std::pair<OutChunk*, std::size_t>> merge_cursors_;  // guarded by merge_mutex_
-  /// Released-stream low watermark (see low_watermark()); advanced by the
-  /// tier-specific drains (and the cascade coordinator at closure).
+  /// Released-stream low watermark (see low_watermark()); advanced only
+  /// where emissions are handed out: by the tier-specific drains, and in
+  /// cascade mode by poll_into() up to cascade_closed_.
   std::uint64_t low_watermark_ = 0;  // guarded by merge_mutex_
   /// Global-total-order, non-cascade: per-group (= per event type)
   /// released-instance counters — the merge assigns each released
@@ -1017,6 +1018,10 @@ class ShardedEngineRuntime {
   std::atomic<bool> feedback_possible_{false};
   std::condition_variable merged_cv_;  ///< with merge_mutex_: closure progress
   std::vector<TaggedInstance> cascade_out_;       // guarded by merge_mutex_
+  /// Closed frontier: the stamp just below the oldest unmerged closure,
+  /// set by the coordinator in the section that moves the merged closure
+  /// into cascade_out_. The watermark catches up with it at the next poll.
+  std::uint64_t cascade_closed_ = 0;              // guarded by merge_mutex_
   std::uint64_t last_stamp_assigned_ = 0;         // guarded by merge_mutex_
   std::uint64_t cascade_reingested_ = 0;          // guarded by merge_mutex_
   std::uint64_t cascade_truncated_ = 0;           // guarded by merge_mutex_

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ordering_oracle.hpp"
@@ -461,6 +464,84 @@ TEST_P(CascadePipelineTest, TierMatrixHoldsUnderPipelining) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CascadePipelineTest, ::testing::Values(31u, 32u, 33u));
+
+/// The watermark may only pass a closure once a poll has handed it out:
+/// the coordinator merges closures on its own, so reading low_watermark()
+/// after every closure merged but before the poll that takes them must
+/// not promise any of their stamps. Waits (without polling) until the
+/// runtime has merged the whole stream, then reads W and polls.
+TEST(CascadeWatermark, MergedClosuresAreNotPromisedBeforeTheirPoll) {
+  for (const OrderingTier tier :
+       {OrderingTier::kGlobalTotalOrder, OrderingTier::kPerDefinitionOrder,
+        OrderingTier::kUnorderedWatermarked}) {
+    core::EngineOptions engine_options;
+    engine_options.max_cascade_depth = 4;
+    RuntimeOptions options;
+    options.shards = 4;
+    options.cascade = true;
+    options.engine = engine_options;
+    options.ordering = tier;
+    options.cascade_pipeline = 4;
+    ShardedEngineRuntime sharded(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0}, options);
+    DetectionEngine sequential(ObserverId("OB"), core::Layer::kCyberPhysical, {0, 0},
+                               engine_options);
+    for (const EventDefinition& def :
+         cascade_definitions(ConsumptionMode::kUnrestricted, "W")) {
+      sharded.add_definition(def);
+      sequential.add_definition(def);
+    }
+    const Stream stream = make_stream(41, 96);
+    std::uint64_t want = 0;
+    for (std::size_t i = 0; i < stream.entities.size(); ++i) {
+      want += sequential.observe_cascading(stream.entities[i], stream.nows[i]).size();
+    }
+    ASSERT_GT(want, 0u);
+
+    const std::string ctx = "tier=" + std::to_string(static_cast<int>(tier));
+    sharded.ingest_batch(stream.entities, stream.nows);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (sharded.stats().instances < want) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << ctx << " merged only " << sharded.stats().instances << " of " << want;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    oracle::WatermarkAudit audit(ctx);
+    audit.after_poll(sharded.low_watermark());
+    const std::vector<TaggedInstance> released = sharded.poll_tagged();
+    audit.observe(released);
+    audit.after_poll(sharded.low_watermark());
+    std::vector<TaggedInstance> rest = sharded.flush_tagged();
+    audit.observe(rest);
+    audit.after_poll(sharded.low_watermark());
+    audit.at_quiescence(sharded.low_watermark(), sharded.stats().arrivals);
+    EXPECT_EQ(released.size() + rest.size(), want) << ctx;
+  }
+}
+
+/// Liveness under oversubscription: the tiny-capacity differential (the
+/// producer parked in backpressure, so only frontier advances can wake a
+/// gate-blocked worker) must finish while busy threads hold every CPU and
+/// stretch the window between a worker's pre-park recheck and its sleep.
+/// A lost wake shows up as a hang, which the suite's ctest TIMEOUT turns
+/// into a failure.
+TEST(CascadeLiveness, TinyCapacityFinishesUnderCpuLoad) {
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<std::jthread> load;  // stopped and joined on scope exit
+  for (unsigned k = 0; k < std::min(2 * cpus, 32u); ++k) {
+    load.emplace_back([](const std::stop_token& stop) {
+      while (!stop.stop_requested()) {
+      }
+    });
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::size_t capacity : {1u, 2u}) {
+      run_differential(seed ^ 0x71c0ULL, 4, 1, 4, ConsumptionMode::kUnrestricted,
+                       "L" + std::to_string(capacity), 128, /*skewed=*/true,
+                       {{32, 2, 1}, {64, 0, 2}}, 0, capacity);
+    }
+  }
+}
 
 /// Destroying the runtime right after issuing a migration (no flush) must
 /// not deadlock: the destination worker may already be blocked in its
